@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "graph/algorithms.hpp"
+#include "graph/spec.hpp"
 #include "rng/stream.hpp"
 #include "util/assert.hpp"
 
@@ -143,6 +144,51 @@ TEST(RandomGenerators, DeterministicGivenStream) {
   const Graph a = random_regular(60, 3, rng1);
   const Graph b = random_regular(60, 3, rng2);
   EXPECT_EQ(a.edges(), b.edges());
+}
+
+// Golden fingerprints recorded from the std::set-based generators. The
+// pairing and rewiring code may change its data structures but never its
+// RNG use, so every graph (and with it every archive and `file:` seed)
+// must stay byte-identical.
+TEST(RandomGenerators, GoldenRegularFingerprints) {
+  const struct {
+    const char* spec;
+    std::uint64_t fingerprint;
+  } cases[] = {
+      {"regular_64_r3", 0xe0f7920724cb8c6eull},
+      {"regular_512_r4", 0x99dc303f2de759f0ull},
+      {"regular_1000_r5", 0x7f0b5749875cbec0ull},
+      {"regular_1024_r8", 0x203729cf5d489d43ull},
+      {"regular_4096_r8", 0xb3c39d9269dd225cull},
+      // r > 8: shortened restart budget, then the repair path.
+      {"regular_4096_r16", 0xf9d27ce29e70366aull},
+      // r = 8 at scale: all restarts fail, the repair path builds it.
+      {"regular_65536_r8", 0x8da53bc46ccdb929ull},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(build_graph_spec(c.spec).fingerprint(), c.fingerprint)
+        << c.spec;
+}
+
+TEST(RandomGenerators, GoldenWattsStrogatzFingerprints) {
+  const struct {
+    VertexId n;
+    std::uint32_t k;
+    double beta;
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+  } cases[] = {
+      {64, 4, 0.0, 1, 0x5a81e5b3417eec5bull},
+      {500, 6, 0.1, 2, 0xc02ea249a19ce960ull},
+      {1000, 4, 0.5, 3, 0x138cd2b114a93febull},
+      {4096, 10, 0.5, 4, 0x952e61e11d155073ull},
+  };
+  for (const auto& c : cases) {
+    auto rng = rng::make_stream(c.seed, 0);
+    EXPECT_EQ(watts_strogatz(c.n, c.k, c.beta, rng).fingerprint(),
+              c.fingerprint)
+        << "n=" << c.n << " k=" << c.k << " beta=" << c.beta;
+  }
 }
 
 }  // namespace
