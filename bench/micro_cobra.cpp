@@ -136,11 +136,14 @@ void BM_CobraStepThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(pushes));
 }
+// Real time: lanes 1+ run on pool threads, so the main thread's CPU time
+// would undercount the work and inflate items_per_second.
 BENCHMARK(BM_CobraStepThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_CobraStepAtDensity(benchmark::State& state) {

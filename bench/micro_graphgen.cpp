@@ -62,9 +62,27 @@ void BM_GenRandomRegular(benchmark::State& state) {
     benchmark::DoNotOptimize(graph::random_regular(n, r, rng));
   }
 }
+// {1 << 17, 8} is the expander_cover graph: at r = 8 every rejection
+// attempt fails, so it times 64 doomed pairings plus the repair path.
 BENCHMARK(BM_GenRandomRegular)
     ->Args({1 << 12, 4})
     ->Args({1 << 12, 16})
+    ->Args({1 << 16, 3})
+    ->Args({1 << 17, 8})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_GenWattsStrogatz(benchmark::State& state) {
+  const auto n = static_cast<graph::VertexId>(state.range(0));
+  const auto k = static_cast<std::uint32_t>(state.range(1));
+  std::uint64_t salt = 0;
+  for (auto _ : state) {
+    rng::Rng rng = rng::make_stream(8, salt++);
+    benchmark::DoNotOptimize(graph::watts_strogatz(n, k, 0.1, rng));
+  }
+}
+BENCHMARK(BM_GenWattsStrogatz)
+    ->Args({1 << 12, 6})
+    ->Args({1 << 16, 10})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GenBarabasiAlbert(benchmark::State& state) {

@@ -1,14 +1,15 @@
 #include "graph/random_generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <set>
 #include <sstream>
 #include <utility>
 
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "rng/splitmix64.hpp"
 #include "util/assert.hpp"
 
 namespace cobra::graph {
@@ -55,23 +56,82 @@ Graph erdos_renyi_gnp(VertexId n, double p, rng::Rng& rng) {
 
 namespace {
 
-/// One pairing-model attempt; returns edges or empty when a collision
-/// (self-loop / parallel edge) occurs.
-bool try_pairing(VertexId n, std::uint32_t r, rng::Rng& rng,
-                 std::vector<std::pair<VertexId, VertexId>>& edges) {
-  std::vector<VertexId> stubs;
-  stubs.reserve(static_cast<std::size_t>(n) * r);
-  for (VertexId v = 0; v < n; ++v)
-    for (std::uint32_t i = 0; i < r; ++i) stubs.push_back(v);
-  rng.shuffle(stubs.begin(), stubs.end());
+using Edge = std::pair<VertexId, VertexId>;
 
+Edge canonical(VertexId a, VertexId b) { return std::minmax(a, b); }
+
+/// The simple (good) edges of a pairing as a flat per-vertex adjacency.
+/// Every vertex owns r stubs, so it is never an endpoint of more than r
+/// good edges: n·r slots plus a degree array hold them all. Membership
+/// scans at most r slots, insert appends to both endpoints and erase
+/// swap-removes from both.
+class BoundedAdjacency {
+ public:
+  BoundedAdjacency(VertexId n, std::uint32_t r)
+      : r_(r), degree_(n, 0), slots_(static_cast<std::size_t>(n) * r) {}
+
+  void clear() { std::fill(degree_.begin(), degree_.end(), 0u); }
+
+  [[nodiscard]] bool contains(VertexId a, VertexId b) const {
+    if (degree_[b] < degree_[a]) std::swap(a, b);
+    const VertexId* first = row(a);
+    const VertexId* last = first + degree_[a];
+    return std::find(first, last, b) != last;
+  }
+
+  void insert(VertexId a, VertexId b) {
+    COBRA_DCHECK(degree_[a] < r_ && degree_[b] < r_);
+    row(a)[degree_[a]++] = b;
+    row(b)[degree_[b]++] = a;
+  }
+
+  void erase(VertexId a, VertexId b) {
+    remove_from(a, b);
+    remove_from(b, a);
+  }
+
+ private:
+  VertexId* row(VertexId v) {
+    return slots_.data() + static_cast<std::size_t>(v) * r_;
+  }
+  const VertexId* row(VertexId v) const {
+    return slots_.data() + static_cast<std::size_t>(v) * r_;
+  }
+  void remove_from(VertexId v, VertexId w) {
+    VertexId* first = row(v);
+    VertexId* last = first + degree_[v];
+    VertexId* it = std::find(first, last, w);
+    COBRA_DCHECK(it != last);
+    *it = *(last - 1);
+    --degree_[v];
+  }
+
+  std::uint32_t r_;
+  std::vector<std::uint32_t> degree_;
+  std::vector<VertexId> slots_;
+};
+
+/// Refills `stubs` with r copies of each vertex in order and shuffles it:
+/// consecutive pairs are the pairing model's edges.
+void shuffled_stubs(VertexId n, std::uint32_t r, rng::Rng& rng,
+                    std::vector<VertexId>& stubs) {
+  auto it = stubs.begin();
+  for (VertexId v = 0; v < n; ++v) it = std::fill_n(it, r, v);
+  rng.shuffle(stubs.begin(), stubs.end());
+}
+
+/// One pairing-model attempt; false as soon as a collision (self-loop or
+/// parallel edge) occurs.
+bool try_pairing(VertexId n, std::uint32_t r, rng::Rng& rng,
+                 std::vector<VertexId>& stubs, BoundedAdjacency& simple,
+                 std::vector<Edge>& edges) {
+  shuffled_stubs(n, r, rng, stubs);
   edges.clear();
-  std::set<std::pair<VertexId, VertexId>> seen;
+  simple.clear();
   for (std::size_t i = 0; i < stubs.size(); i += 2) {
-    VertexId a = stubs[i], b = stubs[i + 1];
-    if (a == b) return false;
-    if (a > b) std::swap(a, b);
-    if (!seen.emplace(a, b).second) return false;
+    const VertexId a = stubs[i], b = stubs[i + 1];
+    if (a == b || simple.contains(a, b)) return false;
+    simple.insert(a, b);
     edges.emplace_back(a, b);
   }
   return true;
@@ -82,29 +142,23 @@ bool try_pairing(VertexId n, std::uint32_t r, rng::Rng& rng,
 /// result is simple. Terminates quickly because collisions are O(r^2) in
 /// expectation while good edges are ~ nr/2.
 void pairing_with_repair(VertexId n, std::uint32_t r, rng::Rng& rng,
-                         std::vector<std::pair<VertexId, VertexId>>& edges) {
-  std::vector<VertexId> stubs;
-  stubs.reserve(static_cast<std::size_t>(n) * r);
-  for (VertexId v = 0; v < n; ++v)
-    for (std::uint32_t i = 0; i < r; ++i) stubs.push_back(v);
-  rng.shuffle(stubs.begin(), stubs.end());
-
+                         std::vector<VertexId>& stubs,
+                         BoundedAdjacency& simple, std::vector<Edge>& edges) {
+  shuffled_stubs(n, r, rng, stubs);
   edges.clear();
   for (std::size_t i = 0; i < stubs.size(); i += 2)
     edges.emplace_back(stubs[i], stubs[i + 1]);
 
-  auto canonical = [](std::pair<VertexId, VertexId> e) {
-    if (e.first > e.second) std::swap(e.first, e.second);
-    return e;
-  };
-  std::set<std::pair<VertexId, VertexId>> simple;
+  simple.clear();
   std::vector<std::size_t> bad;
   std::vector<char> is_bad(edges.size(), 0);
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto e = canonical(edges[i]);
-    if (e.first == e.second || !simple.emplace(e).second) {
+    const auto [a, b] = edges[i];
+    if (a == b || simple.contains(a, b)) {
       bad.push_back(i);
       is_bad[i] = 1;
+    } else {
+      simple.insert(a, b);
     }
   }
 
@@ -120,28 +174,85 @@ void pairing_with_repair(VertexId n, std::uint32_t r, rng::Rng& rng,
     const std::size_t j = static_cast<std::size_t>(rng.below(edges.size()));
     if (i == j) continue;
     // j must be a good edge: testing `simple` membership is NOT enough —
-    // a duplicate bad edge's canonical form is in `simple` via its good
-    // twin, and switching with it would strand that twin outside `simple`
-    // (a later switch could then re-create the pair, leaving a duplicate
-    // in the final edge list).
+    // a duplicate bad edge's pair is in `simple` via its good twin, and
+    // switching with it would strand that twin outside `simple` (a later
+    // switch could then re-create the pair, leaving a duplicate in the
+    // final edge list).
     if (is_bad[j]) continue;
-    const auto ej = canonical(edges[j]);
     // Propose switch: (u,v),(x,y) -> (u,x),(v,y).
     const auto [u, v] = edges[i];
     const auto [x, y] = edges[j];
-    const auto e1 = canonical({u, x});
-    const auto e2 = canonical({v, y});
-    if (e1.first == e1.second || e2.first == e2.second) continue;
-    if (simple.count(e1) != 0 || simple.count(e2) != 0 || e1 == e2) continue;
-    simple.erase(ej);
-    simple.insert(e1);
-    simple.insert(e2);
+    const Edge e1 = canonical(u, x);
+    const Edge e2 = canonical(v, y);
+    if (e1.first == e1.second || e2.first == e2.second || e1 == e2) continue;
+    if (simple.contains(u, x) || simple.contains(v, y)) continue;
+    // Erase before inserting: x and y may already hold r good edges.
+    simple.erase(x, y);
+    simple.insert(u, x);
+    simple.insert(v, y);
     edges[i] = e1;
     edges[j] = e2;
     is_bad[i] = 0;
     bad.pop_back();
   }
 }
+
+/// Canonical edges {u < v} packed as u<<32 | v in an open-addressed,
+/// linear-probing table with tombstones. Sized once for `max_keys`
+/// occupied slots (live keys plus tombstones), at most half full.
+class PackedEdgeSet {
+ public:
+  explicit PackedEdgeSet(std::size_t max_keys)
+      : table_(std::bit_ceil(2 * max_keys + 2), kEmpty),
+        mask_(table_.size() - 1) {}
+
+  [[nodiscard]] bool contains(VertexId a, VertexId b) const {
+    const std::uint64_t key = pack(a, b);
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (table_[i] == key) return true;
+      if (table_[i] == kEmpty) return false;
+    }
+  }
+
+  /// Requires the edge to be absent.
+  void insert(VertexId a, VertexId b) {
+    const std::uint64_t key = pack(a, b);
+    std::size_t i = home(key);
+    while (table_[i] != kEmpty && table_[i] != kTombstone) i = (i + 1) & mask_;
+    table_[i] = key;
+  }
+
+  /// Requires the edge to be present.
+  void erase(VertexId a, VertexId b) {
+    const std::uint64_t key = pack(a, b);
+    std::size_t i = home(key);
+    while (table_[i] != key) i = (i + 1) & mask_;
+    table_[i] = kTombstone;
+  }
+
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const std::uint64_t key : table_)
+      if (key != kEmpty && key != kTombstone)
+        fn(static_cast<VertexId>(key >> 32), static_cast<VertexId>(key));
+  }
+
+ private:
+  // u < v <= 2^32 - 1 keeps every packed key below both sentinels.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::uint64_t kTombstone = kEmpty - 1;
+
+  static std::uint64_t pack(VertexId a, VertexId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<std::uint64_t>(a) << 32) | b;
+  }
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>(rng::mix64(key)) & mask_;
+  }
+
+  std::vector<std::uint64_t> table_;
+  std::size_t mask_;
+};
 
 }  // namespace
 
@@ -153,21 +264,23 @@ Graph random_regular(VertexId n, std::uint32_t r, rng::Rng& rng,
   std::ostringstream name;
   name << "random_regular(" << n << ",r=" << r << ")";
 
-  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<VertexId> stubs(static_cast<std::size_t>(n) * r);
+  BoundedAdjacency simple(n, r);
+  std::vector<Edge> edges;
+  edges.reserve(stubs.size() / 2);
+  auto build = [&] {
+    GraphBuilder b(n);
+    b.reserve(edges.size());
+    for (const auto& [u, v] : edges) b.add_edge(u, v);
+    return std::move(b).build(name.str());
+  };
   // Rejection keeps exact uniformity over simple pairings; success
   // probability is roughly exp(-(r^2-1)/4), so give up early for large r.
   const std::uint32_t restarts = r <= 8 ? max_restarts : max_restarts / 8 + 1;
-  for (std::uint32_t attempt = 0; attempt < restarts; ++attempt) {
-    if (try_pairing(n, r, rng, edges)) {
-      GraphBuilder b(n);
-      for (const auto& [u, v] : edges) b.add_edge(u, v);
-      return std::move(b).build(name.str());
-    }
-  }
-  pairing_with_repair(n, r, rng, edges);
-  GraphBuilder b(n);
-  for (const auto& [u, v] : edges) b.add_edge(u, v);
-  return std::move(b).build(name.str());
+  for (std::uint32_t attempt = 0; attempt < restarts; ++attempt)
+    if (try_pairing(n, r, rng, stubs, simple, edges)) return build();
+  pairing_with_repair(n, r, rng, stubs, simple, edges);
+  return build();
 }
 
 Graph watts_strogatz(VertexId n, std::uint32_t k, double beta,
@@ -177,37 +290,35 @@ Graph watts_strogatz(VertexId n, std::uint32_t k, double beta,
                   "watts_strogatz needs even 2 <= k < n");
   COBRA_CHECK(beta >= 0.0 && beta <= 1.0);
 
-  // Edge set as a sorted set for O(log) duplicate checks during rewiring.
-  std::set<std::pair<VertexId, VertexId>> edge_set;
-  auto canonical = [](VertexId a, VertexId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  };
+  // Each rewire erases one lattice edge and inserts one new edge, so the
+  // table sees at most two keys per lattice edge over its lifetime.
+  const std::size_t lattice_edges = static_cast<std::size_t>(n) * (k / 2);
+  PackedEdgeSet edge_set(2 * lattice_edges);
   for (VertexId u = 0; u < n; ++u)
     for (std::uint32_t s = 1; s <= k / 2; ++s)
-      edge_set.insert(canonical(u, static_cast<VertexId>((u + s) % n)));
+      edge_set.insert(u, static_cast<VertexId>((u + s) % n));
 
   // Rewire pass (lattice order, as in the original model).
   for (VertexId u = 0; u < n; ++u) {
     for (std::uint32_t s = 1; s <= k / 2; ++s) {
       const auto v = static_cast<VertexId>((u + s) % n);
-      const auto e = canonical(u, v);
-      if (edge_set.find(e) == edge_set.end()) continue;  // already rewired
+      if (!edge_set.contains(u, v)) continue;  // already rewired
       if (!rng.bernoulli(beta)) continue;
       // Try a handful of replacement endpoints; keep the edge on failure.
       for (int tries = 0; tries < 32; ++tries) {
         const auto w = static_cast<VertexId>(rng.below(n));
         if (w == u || w == v) continue;
-        const auto f = canonical(u, w);
-        if (edge_set.find(f) != edge_set.end()) continue;
-        edge_set.erase(e);
-        edge_set.insert(f);
+        if (edge_set.contains(u, w)) continue;
+        edge_set.erase(u, v);
+        edge_set.insert(u, w);
         break;
       }
     }
   }
 
   GraphBuilder b(n);
-  for (const auto& [x, y] : edge_set) b.add_edge(x, y);
+  b.reserve(lattice_edges);
+  edge_set.for_each([&b](VertexId x, VertexId y) { b.add_edge(x, y); });
   std::ostringstream name;
   name << "watts_strogatz(" << n << ",k=" << k << ",beta=" << beta << ")";
   return std::move(b).build(name.str());

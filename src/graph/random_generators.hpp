@@ -22,8 +22,18 @@ Graph erdos_renyi_gnp(VertexId n, double p, rng::Rng& rng);
 
 /// Uniform-ish random r-regular simple graph via the pairing (configuration)
 /// model with rejection, falling back to local edge-switch repairs after
-/// `max_restarts` collisions (repairs introduce negligible bias for the
-/// sizes used here; see DESIGN.md). Requires n*r even, 1 <= r < n.
+/// `max_restarts` collisions. Requires n*r even, 1 <= r < n.
+///
+/// Repair bias: an accepted pairing is exactly uniform over simple
+/// r-regular graphs, but a simple pairing has probability only about
+/// exp(-(r^2-1)/4), so for r >= 5 the restarts almost always run out. The
+/// fallback keeps one pairing's ~(r^2-1)/4 expected collisions (self-loops
+/// and parallel edges) and replaces each with a random switch against a
+/// good edge: {(u,v) bad, (x,y) good} -> {(u,x), (v,y)}. Only O(r^2) of the
+/// nr/2 edges are rewired, so the result differs from a uniform sample only
+/// around those few switches; the degrees stay exactly r. The bound checks
+/// do not lean on exact uniformity anyway: they measure lambda (and the
+/// conductance) of the graph actually built.
 Graph random_regular(VertexId n, std::uint32_t r, rng::Rng& rng,
                      std::uint32_t max_restarts = 64);
 
