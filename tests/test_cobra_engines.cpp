@@ -354,6 +354,72 @@ TEST(CobraEngines, Mix64WordsLookUniform) {
     EXPECT_NEAR(count, expected, 0.06 * expected);
 }
 
+TEST(CobraEngines, GoldenDrawStreams) {
+  // Checked-in words of the keyed per-(round, entity) stream. Every engine
+  // of every kernel process derives its randomness from these, so a
+  // refactor that keeps them keeps every fixed-seed archive.
+  struct Golden {
+    std::uint64_t round_key;
+    std::uint32_t entity;
+    std::array<std::uint64_t, 4> words;
+  };
+  const Golden golden[] = {
+      {0, 0,
+       {0x46b73e79f0c37c00ull, 0x5c46c78d48c94041ull, 0xb3ddaf4eb890385cull,
+        0x652843164a715fbaull}},
+      {0x1234ABCDull, 7,
+       {0x482013b5495ee956ull, 0xa220d70fdc9b2645ull, 0xfd83bd72a5ca69b2ull,
+        0x63c2469d7ef59273ull}},
+      {0xDEADBEEFCAFEF00Dull, 0xFFFFFFFFu,
+       {0xc5257722362c31fbull, 0x1a0389f1e3a2ccc3ull, 0x296dc66cdf5242eaull,
+        0x4b4c7343b712e37eull}},
+  };
+  for (const Golden& g : golden) {
+    VertexDraws draws(DrawHash::kMix64, g.round_key, g.entity);
+    for (const std::uint64_t word : g.words)
+      EXPECT_EQ(draws.next_word(), word)
+          << "key " << g.round_key << " entity " << g.entity;
+  }
+
+  VertexDraws draws(DrawHash::kMix64, 42, 3);
+  EXPECT_EQ(draws.uniform01(), 0.56791202136050156);
+  EXPECT_EQ(draws.uniform01(), 0.28975091766661354);
+  EXPECT_FALSE(draws.bernoulli(0.25));
+  EXPECT_FALSE(draws.bernoulli(0.5));
+  EXPECT_FALSE(draws.bernoulli(0.75));
+  EXPECT_TRUE(draws.bernoulli(0.9));
+  EXPECT_FALSE(draws.bernoulli(0.0));  // short-circuits: no word consumed
+  EXPECT_TRUE(draws.bernoulli(1.0));
+  EXPECT_EQ(draws.next_word(), 0x9bae17bf8b6e0025ull);
+}
+
+TEST(CobraEngines, GoldenNeighborSamples) {
+  // Checked-in push destinations on a lollipop (clique vertices of degree
+  // 4 and 5, tail end of degree 1), eight words of one keyed stream per
+  // vertex, with and without laziness.
+  const graph::Graph g = graph::lollipop(5, 3);
+  const std::array<graph::VertexId, 3> sources = {0, 4, 7};
+  const std::map<double, std::array<std::array<graph::VertexId, 8>, 3>>
+      golden = {
+          {0.0,
+           {{{4, 4, 2, 4, 2, 4, 2, 2},
+             {5, 2, 2, 1, 2, 2, 0, 3},
+             {6, 6, 6, 6, 6, 6, 6, 6}}}},
+          {0.5,
+           {{{0, 0, 2, 0, 0, 0, 3, 0},
+             {4, 3, 3, 2, 3, 4, 4, 5},
+             {7, 7, 6, 7, 6, 6, 7, 6}}}},
+      };
+  for (const auto& [laziness, expected] : golden) {
+    const NeighborSampler sampler(g, laziness);
+    VertexDraws words(DrawHash::kMix64, 99, 1);
+    for (std::size_t i = 0; i < sources.size(); ++i)
+      for (const graph::VertexId dest : expected[i])
+        EXPECT_EQ(sampler.sample(sources[i], words.next_word()), dest)
+            << "laziness " << laziness << " source " << sources[i];
+  }
+}
+
 TEST(CobraEngines, DrawHashParseAndNameRoundTrip) {
   EXPECT_STREQ(draw_hash_name(DrawHash::kDefault), "default");
   EXPECT_STREQ(draw_hash_name(DrawHash::kMix64), "mix64");
