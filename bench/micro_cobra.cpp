@@ -149,16 +149,11 @@ BENCHMARK(BM_CobraStepThreads)
 void BM_CobraStepAtDensity(benchmark::State& state) {
   // One round from a frontier of fixed density (range(2) is per mille of
   // n), on the largest random-regular graph: the sparse<->dense crossover.
-  // range(3) picks the keyed hash — the mix64/philox ratio at 1–10 per
-  // mille is the low-density gap the cheap hash exists to close.
   const int engine_id = static_cast<int>(state.range(1));
   const graph::Graph& g = bench_graph(static_cast<int>(state.range(0)));
   const auto per_mille = static_cast<std::uint32_t>(state.range(2));
-  const DrawHash hash =
-      state.range(3) == 0 ? DrawHash::kMix64 : DrawHash::kPhilox;
   state.SetLabel(bench_label(static_cast<int>(state.range(0)), engine_id) +
-                 "/density_" + std::to_string(per_mille) + "permille/" +
-                 draw_hash_name(hash));
+                 "/density_" + std::to_string(per_mille) + "permille");
   const auto k = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(
              (static_cast<std::uint64_t>(g.num_vertices()) * per_mille) /
@@ -170,9 +165,7 @@ void BM_CobraStepAtDensity(benchmark::State& state) {
   for (std::uint32_t i = 0; i < k; ++i)
     starts.push_back(static_cast<graph::VertexId>(
         (static_cast<std::uint64_t>(i) * g.num_vertices()) / k));
-  ProcessOptions opt = engine_options(engine_id);
-  opt.draw_hash = hash;
-  CobraProcess p(g, opt);
+  CobraProcess p(g, engine_options(engine_id));
   rng::Rng rng = rng::make_stream(3, 0);
   std::uint64_t pushes = 0;
   for (auto _ : state) {
@@ -192,8 +185,7 @@ void BM_CobraStepAtDensity(benchmark::State& state) {
 BENCHMARK(BM_CobraStepAtDensity)
     ->ArgsProduct({{5},
                    benchmark::CreateDenseRange(0, 3, 1),
-                   {1, 10, 100, 500},
-                   {0, 1}})  // draw hash: mix64 vs philox
+                   {1, 10, 100, 500}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_CobraFullCover(benchmark::State& state) {

@@ -6,10 +6,12 @@
 // bench_results/BENCH_graph_io.json baseline is guarded by
 // scripts/check_step_bench.py --suite graph_io.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
@@ -99,16 +101,28 @@ BENCHMARK(BM_GenBarabasiAlbert)->Arg(1 << 12)->Unit(benchmark::kMillisecond);
 
 constexpr const char* kIoSpec = "regular_262144_r8";
 
-// Bakes the spec to a temp .cgr once; every load/mmap bench reads it.
+// The spec baked to a temp .cgr, named per process so concurrent runs do
+// not share it, and removed when the program exits.
+struct BakedCgr {
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("cobra_micro_graph_io." + std::to_string(::getpid()) +
+                       ".cgr"))
+                         .string();
+  BakedCgr() {
+    graph::write_cgr_file(graph::build_graph_spec(kIoSpec), path);
+  }
+  ~BakedCgr() {
+    std::error_code ignored;
+    std::filesystem::remove(path, ignored);
+  }
+  BakedCgr(const BakedCgr&) = delete;
+  BakedCgr& operator=(const BakedCgr&) = delete;
+};
+
+// Bakes the spec once; every load/mmap bench reads it.
 const std::string& baked_cgr_path() {
-  static const std::string path = [] {
-    const std::string p = (std::filesystem::temp_directory_path() /
-                           "cobra_micro_graph_io.cgr")
-                              .string();
-    graph::write_cgr_file(graph::build_graph_spec(kIoSpec), p);
-    return p;
-  }();
-  return path;
+  static const BakedCgr baked;
+  return baked.path;
 }
 
 void BM_GraphIoGenerate(benchmark::State& state) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regression-threshold checks for the committed benchmark baselines.
 
-Three suites, selected with --suite (default: step). Each guards one
-fast-vs-slow pair that encodes the suite's headline claim:
+Six suites, selected with --suite (default: step). Each guards one
+claim about a committed baseline:
 
   step      bench_results/BENCH_step.json, produced by micro_cobra. The
             guarded pair is dense vs reference for the steady-state COBRA
@@ -48,7 +48,10 @@ Two modes:
   check_step_bench.py [--suite S] BASELINE.json FRESH.json [--tolerance 0.30]
       Compares a fresh benchmark JSON against the baseline: any shared
       benchmark whose per-iteration real_time regressed by more than the
-      tolerance fails the check. Only meaningful on hardware comparable to
+      tolerance fails the check. Rows are matched on (family, label), the
+      family being the name up to its first '/', so a renamed
+      registration (a /real_time suffix, a changed argument list) still
+      meets its baseline row. Only meaningful on hardware comparable to
       the baseline's; CI uses the single-file mode with a reduced
       --min-speedup instead, so heterogeneous runners compare engine
       ratios measured on the same box.
@@ -207,12 +210,26 @@ def check_baseline(benches, suite, min_speedup):
     print("OK")
 
 
-def check_regression(baseline, fresh, tolerance):
-    base_by_key = {(b["name"], b.get("label", "")): b for b in baseline}
+def rows_by_key(benches, path):
+    """Keys rows on (family, label); the family is the name up to its first
+    '/', so argument lists and suffixes like /real_time do not matter.
+    Repeated rows of one name (repetitions) keep the last; two different
+    names on one key are ambiguous and stop the check."""
+    by_key = {}
+    for b in benches:
+        key = (b["name"].split("/", 1)[0], b.get("label", ""))
+        if key in by_key and by_key[key]["name"] != b["name"]:
+            sys.exit(f"{path}: {by_key[key]['name']} and {b['name']} share "
+                     f"family and label {key[1]!r}; give them distinct labels")
+        by_key[key] = b
+    return by_key
+
+
+def check_regression(baseline, fresh, tolerance, paths):
+    base_by_key = rows_by_key(baseline, paths[0])
     failures = []
     compared = 0
-    for b in fresh:
-        key = (b["name"], b.get("label", ""))
+    for key, b in rows_by_key(fresh, paths[1]).items():
         if key not in base_by_key:
             continue
         compared += 1
@@ -264,7 +281,8 @@ def main():
     elif args.fresh is None:
         check_baseline(baseline, args.suite, args.min_speedup)
     else:
-        check_regression(baseline, load(args.fresh), args.tolerance)
+        check_regression(baseline, load(args.fresh), args.tolerance,
+                         (args.baseline, args.fresh))
 
 
 if __name__ == "__main__":

@@ -22,11 +22,6 @@ namespace cobra::baselines {
 struct BaselineOptions {
   /// Stepping engine; kDefault defers to --engine / COBRA_ENGINE.
   core::Engine engine = core::Engine::kDefault;
-  /// Keyed hash for the per-(round, entity) draws (kDefault -> mix64).
-  core::DrawHash draw_hash = core::DrawHash::kDefault;
-  /// Auto-switch threshold: dense frontier once |frontier| >= this
-  /// fraction of n (2x hysteresis on the way down), as in ProcessOptions.
-  double dense_density = 1.0 / 32.0;
   /// In-round kernel lane count; 0 defers to --kernel-threads /
   /// COBRA_KERNEL_THREADS, as in ProcessOptions::kernel_threads. Results
   /// are bit-identical at every setting.

@@ -11,7 +11,6 @@ FloodingResult flooding_cover(const graph::Graph& g, graph::VertexId start,
   using core::FrontierKernel;
   FrontierKernel::Config cfg;
   cfg.engine = core::resolve_engine(options.engine);
-  cfg.dense_density = options.dense_density;
   cfg.kernel_threads = core::resolve_kernel_threads(options.kernel_threads);
   cfg.build_sampler = false;  // deterministic: no destinations to sample
   cfg.track_visited = true;

@@ -15,7 +15,6 @@ MultiWalkResult multi_walk_cover(const graph::Graph& g,
   COBRA_CHECK(k >= 1);
   COBRA_CHECK(g.min_degree() >= 1);
   core::resolve_engine(options.engine);  // validate the session engine
-  const core::DrawHash hash = core::resolve_draw_hash(options.draw_hash);
   std::shared_ptr<const core::NeighborSampler> sampler = options.sampler;
   if (sampler) {
     COBRA_CHECK_MSG(&sampler->graph() == &g && sampler->laziness() == 0.0,
@@ -34,7 +33,7 @@ MultiWalkResult multi_walk_cover(const graph::Graph& g,
   while (remaining > 0 && result.rounds < max_rounds) {
     const std::uint64_t round_key = rng.next_u64();
     for (std::uint32_t i = 0; i < k; ++i) {
-      core::VertexDraws draws(hash, round_key, i);
+      core::VertexDraws draws(round_key, i);
       graph::VertexId& u = particles[i];
       u = sampler->sample(u, draws.next_word());
       if (visited.set_and_test(u)) --remaining;

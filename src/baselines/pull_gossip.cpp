@@ -10,8 +10,6 @@ core::FrontierKernel make_gossip_kernel(const graph::Graph& g,
                                         const BaselineOptions& options) {
   core::FrontierKernel::Config cfg;
   cfg.engine = core::resolve_engine(options.engine);
-  cfg.draw_hash = options.draw_hash;
-  cfg.dense_density = options.dense_density;
   cfg.kernel_threads = core::resolve_kernel_threads(options.kernel_threads);
   cfg.sampler = options.sampler;
   return core::FrontierKernel(g, cfg);

@@ -12,8 +12,6 @@ GossipResult push_gossip_cover(const graph::Graph& g, graph::VertexId start,
   using core::FrontierKernel;
   FrontierKernel::Config cfg;
   cfg.engine = core::resolve_engine(options.engine);
-  cfg.draw_hash = options.draw_hash;
-  cfg.dense_density = options.dense_density;
   cfg.kernel_threads = core::resolve_kernel_threads(options.kernel_threads);
   cfg.sampler = options.sampler;
   FrontierKernel kernel(g, cfg);

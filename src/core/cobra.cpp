@@ -9,8 +9,6 @@ namespace cobra::core {
 FrontierKernel::Config CobraProcess::kernel_config() const {
   FrontierKernel::Config cfg;
   cfg.engine = engine_;
-  cfg.draw_hash = options_.draw_hash;
-  cfg.dense_density = options_.dense_density;
   cfg.laziness = options_.laziness;
   // The legacy reference engine draws destinations sequentially from the
   // replicate stream and never needs the alias tables.

@@ -64,19 +64,6 @@ Engine resolve_engine(Engine engine) {
   return *parsed;
 }
 
-const char* draw_hash_name(DrawHash hash) {
-  switch (hash) {
-    case DrawHash::kDefault: return "default";
-    case DrawHash::kMix64: return "mix64";
-    case DrawHash::kPhilox: return "philox";
-  }
-  return "invalid";
-}
-
-DrawHash resolve_draw_hash(DrawHash hash) {
-  return hash == DrawHash::kDefault ? DrawHash::kMix64 : hash;
-}
-
 int resolve_kernel_threads(int kernel_threads) {
   if (kernel_threads == 0) return util::kernel_threads();
   return std::clamp(kernel_threads, 1, 256);
@@ -102,8 +89,6 @@ std::vector<WordRange> partition_word_ranges(std::size_t words, int lanes) {
 FrontierKernel::FrontierKernel(const graph::Graph& g, const Config& config)
     : graph_(&g),
       engine_(config.engine),
-      draw_hash_(resolve_draw_hash(config.draw_hash)),
-      dense_density_(config.dense_density),
       track_visited_(config.track_visited),
       threads_(std::clamp(config.kernel_threads, 1, 256)),
       metrics_(config.metrics != nullptr ? config.metrics
@@ -252,10 +237,8 @@ std::uint64_t FrontierKernel::or_count_parallel(std::uint64_t* dst_words,
 }
 
 double FrontierKernel::density_score(std::uint32_t count) const {
-  const double threshold =
-      dense_density_ * static_cast<double>(graph_->num_vertices());
-  if (threshold <= 0.0) return 2.0;  // dense_density 0: always dense
-  return static_cast<double>(count) / threshold;
+  return static_cast<double>(count) /
+         (kDenseDensity * static_cast<double>(graph_->num_vertices()));
 }
 
 bool FrontierKernel::begin_round(double score) {

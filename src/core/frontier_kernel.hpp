@@ -15,17 +15,15 @@
 //   * VertexDraws — a counter-based randomness stream for one (round,
 //     entity) pair, where the entity is a vertex id (set processes) or a
 //     particle index (walks). Word k is a pure function of (round_key,
-//     entity, k) through the selected DrawHash — the cheap 2-round
-//     SplitMix64 mix by default, Philox4x32 as the conservative fallback —
-//     so engines may process entities in any order, or any frontier
-//     representation, and still make identical random choices. This is
-//     what makes the engines of one process bit-for-bit equivalent at a
-//     fixed seed.
+//     entity, k) — two SplitMix64 finalizer rounds — so engines may
+//     process entities in any order, or any frontier representation, and
+//     still make identical random choices. This is what makes the engines
+//     of one process bit-for-bit equivalent at a fixed seed.
 //
 //   * FrontierKernel — the dual sparse/dense frontier state machine: a
 //     vector frontier with epoch-stamped O(1) membership, a bitset
-//     frontier with word-parallel commit, the auto density switch with 2x
-//     hysteresis, and the visited accumulator with branch-free popcount
+//     frontier with word-parallel commit, the auto density switch (at
+//     kDenseDensity · n, with 2x hysteresis), and the visited accumulator with branch-free popcount
 //     merges. Processes express only their per-entity policy (what an
 //     active vertex does with its draws); the kernel owns representation,
 //     deduplication, mode transitions and first-visit counting.
@@ -71,7 +69,6 @@
 #include "core/process.hpp"
 #include "graph/graph.hpp"
 #include "rng/discrete.hpp"
-#include "rng/philox.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/bitset.hpp"
 #include "util/simd.hpp"
@@ -138,37 +135,22 @@ class NeighborSampler {
 /// Counter-based per-entity randomness for one round of a kernel process.
 ///
 /// Produces an unlimited 64-bit word stream that is a pure function of
-/// (round_key, entity, word index) through the selected DrawHash:
-///   * kMix64  — word k = mix64(base + k·C2) with
-///               base = mix64(round_key + (entity+1)·C1): two SplitMix64
-///               finalizer rounds from inputs to output, Weyl-spaced in
-///               both the entity and the word index (the same structure
-///               the SplitMix64 generator itself uses);
-///   * kPhilox — philox4x32({entity, block, salt}, round_key), two words
-///               per evaluation (the PR-3 protocol, kept for A/B).
+/// (round_key, entity, word index): word k = mix64(base + k·C2) with
+/// base = mix64(round_key + (entity+1)·C1) — two SplitMix64 finalizer
+/// rounds from inputs to output, Weyl-spaced in both the entity and the
+/// word index (the same structure the SplitMix64 generator itself uses).
 class VertexDraws {
  public:
   /// Binds the stream to this round's key and one entity (vertex id or
-  /// particle index). `hash` must be resolved (not DrawHash::kDefault).
-  VertexDraws(DrawHash hash, std::uint64_t round_key, std::uint32_t entity)
-      : hash_(hash) {
-    if (hash == DrawHash::kMix64) {
-      base_ = rng::mix64(round_key +
+  /// particle index).
+  VertexDraws(std::uint64_t round_key, std::uint32_t entity)
+      : base_(rng::mix64(round_key +
                          (static_cast<std::uint64_t>(entity) + 1) *
-                             0x9E3779B97F4A7C15ull);
-    } else {
-      key_ = {static_cast<std::uint32_t>(round_key),
-              static_cast<std::uint32_t>(round_key >> 32)};
-      entity_ = entity;
-    }
-  }
+                             0x9E3779B97F4A7C15ull)) {}
 
   /// The next 64-bit word of this entity's round stream.
   std::uint64_t next_word() {
-    if (hash_ == DrawHash::kMix64)
-      return rng::mix64(base_ + (counter_++) * 0xD1B54A32D192ED03ull);
-    if (buffered_ == 0) refill();
-    return buffer_[--buffered_];
+    return rng::mix64(base_ + (counter_++) * 0xD1B54A32D192ED03ull);
   }
 
   /// Uniform double in [0, 1) with 53 bits (same mapping as rng::Rng).
@@ -185,26 +167,8 @@ class VertexDraws {
   }
 
  private:
-  void refill() {
-    // Distinct salts keep this keyed use of Philox disjoint from the
-    // replicate-stream derivation in rng/stream.hpp.
-    const rng::PhiloxBlock out = rng::philox4x32(
-        {entity_, block_++, 0x0C0BFA57u, 0x5EED1E55u}, key_);
-    buffer_[1] = (static_cast<std::uint64_t>(out.x[1]) << 32) | out.x[0];
-    buffer_[0] = (static_cast<std::uint64_t>(out.x[3]) << 32) | out.x[2];
-    buffered_ = 2;
-  }
-
-  DrawHash hash_;
-  // kMix64 state.
-  std::uint64_t base_ = 0;
+  std::uint64_t base_;
   std::uint64_t counter_ = 0;
-  // kPhilox state.
-  std::array<std::uint32_t, 2> key_{};
-  std::uint32_t entity_ = 0;
-  std::uint32_t block_ = 0;
-  std::array<std::uint64_t, 2> buffer_{};
-  int buffered_ = 0;
 };
 
 /// The dual sparse/dense frontier state machine shared by every spreading
@@ -214,6 +178,11 @@ class VertexDraws {
 /// replicate (sim/monte_carlo does this).
 class FrontierKernel {
  public:
+  /// kAuto's switch rule for density_score(): a round runs dense once the
+  /// frontier reaches this fraction of n, and returns to sparse below half
+  /// of it (2x hysteresis).
+  static constexpr double kDenseDensity = 1.0 / 32.0;
+
   /// Construction parameters; `engine` must be resolved (not kDefault —
   /// callers run core::resolve_engine first so the session default is
   /// applied exactly once).
@@ -221,12 +190,6 @@ class FrontierKernel {
     /// Resolved stepping engine (kReference behaves like kSparse at the
     /// representation level: the kernel never picks a dense round for it).
     Engine engine = Engine::kAuto;
-    /// Keyed hash for draws(); resolved at kernel construction.
-    DrawHash draw_hash = DrawHash::kDefault;
-    /// kAuto switches to the dense frontier when begin_round's score
-    /// reaches 1 and back below 0.5 (2x hysteresis); processes compute the
-    /// score, typically via density_score().
-    double dense_density = 1.0 / 32.0;
     /// Laziness the sampler is built with (when the kernel builds one).
     double laziness = 0.0;
     /// Build a NeighborSampler when none is shared. Processes that never
@@ -264,9 +227,6 @@ class FrontierKernel {
   /// The resolved stepping engine.
   [[nodiscard]] Engine engine() const { return engine_; }
 
-  /// The resolved draw hash feeding draws().
-  [[nodiscard]] DrawHash draw_hash() const { return draw_hash_; }
-
   /// The destination sampler (only valid when built or shared).
   [[nodiscard]] const NeighborSampler& sampler() const { return *sampler_; }
 
@@ -281,7 +241,7 @@ class FrontierKernel {
   [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
                                   std::uint32_t entity) const {
     if (metrics_ != nullptr) ++metrics_->draw_streams;
-    return VertexDraws(draw_hash_, round_key, entity);
+    return VertexDraws(round_key, entity);
   }
 
   /// The attached telemetry block (null when telemetry is off). Processes
@@ -376,7 +336,7 @@ class FrontierKernel {
   // --- round transaction -------------------------------------------------
 
   /// The auto-switch score for a frontier of `count` vertices: count /
-  /// (dense_density · n), the rule COBRA uses. Processes with a different
+  /// (kDenseDensity · n), the rule COBRA uses. Processes with a different
   /// cost model (BIPS) pass their own score to begin_round.
   [[nodiscard]] double density_score(std::uint32_t count) const;
 
@@ -509,7 +469,7 @@ class FrontierKernel {
     [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
                                     std::uint32_t entity) {
       ++block_.draw_streams;
-      return VertexDraws(hash_, round_key, entity);
+      return VertexDraws(round_key, entity);
     }
 
     /// The lane's telemetry block (folded after the join, in lane order,
@@ -522,10 +482,8 @@ class FrontierKernel {
 
    private:
     friend class FrontierKernel;
-    DenseLane(std::uint64_t* words, DrawHash hash)
-        : words_(words), hash_(hash) {}
+    explicit DenseLane(std::uint64_t* words) : words_(words) {}
     std::uint64_t* words_;
-    DrawHash hash_;
     StepMetrics block_;
   };
 
@@ -541,7 +499,7 @@ class FrontierKernel {
     [[nodiscard]] VertexDraws draws(std::uint64_t round_key,
                                     std::uint32_t entity) {
       ++block_.draw_streams;
-      return VertexDraws(hash_, round_key, entity);
+      return VertexDraws(round_key, entity);
     }
 
     /// The lane's telemetry block (folded after the join).
@@ -552,10 +510,8 @@ class FrontierKernel {
 
    private:
     friend class FrontierKernel;
-    SparseLane(std::vector<graph::VertexId>* out, DrawHash hash)
-        : out_(out), hash_(hash) {}
+    explicit SparseLane(std::vector<graph::VertexId>* out) : out_(out) {}
     std::vector<graph::VertexId>* out_;
-    DrawHash hash_;
     StepMetrics block_;
   };
 
@@ -742,7 +698,7 @@ class FrontierKernel {
                                 bool local_writes, Task&& task) {
     if (lanes <= 0) return 0;
     if (lanes == 1) {
-      DenseLane lane(dest.data(), draw_hash_);
+      DenseLane lane(dest.data());
       task(0, lane);
       fold_lane(lane.block_);
       return lane.user;
@@ -751,13 +707,12 @@ class FrontierKernel {
     if (!local_writes) ensure_lane_scratch(lanes - 1);
     std::vector<DenseLane> lane_objs;
     lane_objs.reserve(static_cast<std::size_t>(lanes));
-    lane_objs.push_back(DenseLane(dest.data(), draw_hash_));
+    lane_objs.push_back(DenseLane(dest.data()));
     for (int i = 1; i < lanes; ++i)
       lane_objs.push_back(DenseLane(
           local_writes
               ? dest.data()
-              : lane_scratch_[static_cast<std::size_t>(i - 1)].data(),
-          draw_hash_));
+              : lane_scratch_[static_cast<std::size_t>(i - 1)].data()));
     std::vector<std::future<void>> pending;
     pending.reserve(static_cast<std::size_t>(lanes - 1));
     for (int i = 1; i < lanes; ++i)
@@ -791,7 +746,7 @@ class FrontierKernel {
   std::uint64_t run_sparse_lanes(int lanes, Task&& task) {
     if (lanes <= 0) return 0;
     if (lanes == 1) {
-      SparseLane lane(&next_, draw_hash_);
+      SparseLane lane(&next_);
       task(0, lane);
       fold_lane(lane.block_);
       return lane.user;
@@ -801,10 +756,10 @@ class FrontierKernel {
       lane_out_.resize(static_cast<std::size_t>(lanes - 1));
     std::vector<SparseLane> lane_objs;
     lane_objs.reserve(static_cast<std::size_t>(lanes));
-    lane_objs.push_back(SparseLane(&next_, draw_hash_));
+    lane_objs.push_back(SparseLane(&next_));
     for (int i = 1; i < lanes; ++i)
-      lane_objs.push_back(SparseLane(
-          &lane_out_[static_cast<std::size_t>(i - 1)], draw_hash_));
+      lane_objs.push_back(
+          SparseLane(&lane_out_[static_cast<std::size_t>(i - 1)]));
     std::vector<std::future<void>> pending;
     pending.reserve(static_cast<std::size_t>(lanes - 1));
     for (int i = 1; i < lanes; ++i)
@@ -864,8 +819,6 @@ class FrontierKernel {
 
   const graph::Graph* graph_;
   Engine engine_;
-  DrawHash draw_hash_;
-  double dense_density_;
   bool track_visited_;
   std::shared_ptr<const NeighborSampler> sampler_;
 

@@ -1,6 +1,8 @@
 // Shared configuration types for every spreading process (COBRA, BIPS and
-// the baselines): stepping-engine selection, the keyed-hash selection for
-// per-(round, vertex) randomness, the branching model, and ProcessOptions.
+// the baselines): stepping-engine selection, the branching model, and
+// ProcessOptions. Per-(round, vertex) randomness has one protocol, the
+// keyed mix64 stream of core::VertexDraws, and the auto engine's density
+// switch is the kernel constant FrontierKernel::kDenseDensity.
 #pragma once
 
 #include <cstdint>
@@ -50,31 +52,6 @@ const char* engine_name(Engine engine);
 /// through. Throws util::CheckError when the session string is not a valid
 /// engine name.
 Engine resolve_engine(Engine engine);
-
-/// Keyed-hash selection for the per-(round, vertex) randomness of the
-/// frontier kernel (core::VertexDraws).
-///
-/// kMix64 is the default: two rounds of the SplitMix64 finalizer (one
-/// keying the (round key, vertex) pair, one per word) — about half the
-/// cost of a Philox evaluation per word, which closes most of the
-/// reference-vs-fast gap COBRA showed below 1% frontier density. kPhilox
-/// is the conservative fallback: the Philox4x32 stream the PR-3 engines
-/// shipped with, kept selectable behind the same draw protocol for A/B
-/// runs (bench/micro_cobra exercises both). Engines of one process always
-/// share one resolved hash, so the bit-for-bit engine guarantees hold
-/// under either choice.
-enum class DrawHash : std::uint8_t {
-  kDefault,  ///< resolve to kMix64 at construction
-  kMix64,    ///< 2-round SplitMix64 finalizer mix (cheap, the default)
-  kPhilox,   ///< Philox4x32 counter stream (the original PR-3 protocol)
-};
-
-/// Canonical name of a draw hash ("default" for DrawHash::kDefault).
-const char* draw_hash_name(DrawHash hash);
-
-/// Resolves kDefault to the session default (kMix64); other values pass
-/// through.
-DrawHash resolve_draw_hash(DrawHash hash);
 
 /// Resolves a ProcessOptions::kernel_threads value: 0 defers to the
 /// session-wide setting (--kernel-threads / COBRA_KERNEL_THREADS, default
@@ -127,11 +104,6 @@ struct ProcessOptions {
   /// session-wide --engine / COBRA_ENGINE setting.
   Engine engine = Engine::kDefault;
 
-  /// Which keyed hash drives the per-(round, vertex) draws of the frontier
-  /// kernel; kDefault resolves to the cheap SplitMix64-based mix. Ignored
-  /// by COBRA's legacy reference engine (sequential stream draws).
-  DrawHash draw_hash = DrawHash::kDefault;
-
   /// In-round worker-lane count for the kernel's parallel dense scans and
   /// the commit merge. 0 (the default) defers to the session-wide
   /// --kernel-threads / COBRA_KERNEL_THREADS setting; 1 is the serial
@@ -139,11 +111,6 @@ struct ProcessOptions {
   /// draws are keyed by (round, vertex), so lane boundaries can't shift
   /// randomness), which tests/test_kernel_parallel.cpp asserts.
   int kernel_threads = 0;
-
-  /// kAuto switches to the dense (bitset) frontier once |C_t| reaches
-  /// `dense_density * n`, and back to the sparse (vector) frontier below
-  /// half that threshold (hysteresis prevents representation thrash).
-  double dense_density = 1.0 / 32.0;
 
   /// Optional pre-built destination sampler, shared across replicates so
   /// the degree-bucketed alias tables are constructed once per graph
@@ -165,7 +132,6 @@ struct ProcessOptions {
     COBRA_CHECK(branching.base >= 1);
     COBRA_CHECK(branching.extra_prob >= 0.0 && branching.extra_prob <= 1.0);
     COBRA_CHECK(laziness >= 0.0 && laziness < 1.0);
-    COBRA_CHECK(dense_density >= 0.0 && dense_density <= 1.0);
     COBRA_CHECK(kernel_threads >= 0 && kernel_threads <= 256);
   }
 };

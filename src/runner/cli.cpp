@@ -275,13 +275,4 @@ int cli_main(int argc, const char* const* argv) {
   }
 }
 
-int standalone_main(const std::string& experiment, int argc,
-                    const char* const* argv) {
-  std::vector<const char*> args;
-  args.push_back("run");
-  args.push_back(experiment.c_str());
-  for (int i = 0; i < argc; ++i) args.push_back(argv[i]);
-  return cli_main(static_cast<int>(args.size()), args.data());
-}
-
 }  // namespace cobra::runner

@@ -1,5 +1,4 @@
-// Entry points for the `cobra` binary and the thin back-compat exp_*
-// binaries.
+// Entry point of the `cobra` binary.
 #pragma once
 
 #include <string>
@@ -9,12 +8,5 @@ namespace cobra::runner {
 /// Full CLI: `cobra <list|run|sweep|merge|help> [NAME...] [flags]`.
 /// `argv` excludes the program name. Returns the process exit code.
 int cli_main(int argc, const char* const* argv);
-
-/// Back-compat driver: behaves like `cobra run <experiment>` with the same
-/// flags appended, so `exp_hypercube` keeps its historical one-shot
-/// behaviour (full console table, canonical CSV) while gaining
-/// --shard/--resume/--scale for free.
-int standalone_main(const std::string& experiment, int argc,
-                    const char* const* argv);
 
 }  // namespace cobra::runner

@@ -13,7 +13,7 @@
 
 namespace cobra::runner {
 
-/// Parsed command line of the `cobra` binary (and the exp_* shims).
+/// Parsed command line of the `cobra` binary.
 struct RunnerOptions {
   std::optional<double> scale;         ///< --scale: COBRA_SCALE override
   std::optional<std::uint64_t> seed;   ///< --seed: COBRA_SEED override

@@ -1,4 +1,4 @@
-// Experiment harness shared by the bench/exp_* binaries and the runner.
+// Experiment harness of the bench/exp_* registrations, driven by the runner.
 //
 // Wraps a console Table plus a CSV archive (bench_results/<name>.csv) and
 // standardises the banner (seed, scale, workers) so every experiment run is

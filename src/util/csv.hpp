@@ -1,7 +1,8 @@
 // Minimal CSV writing/reading for experiment result archiving.
 //
-// Every bench/exp_* binary writes its rows to bench_results/<name>.csv so
-// EXPERIMENTS.md numbers are regenerable and plottable. The runner
+// Every experiment run by `cobra run` writes its rows to
+// bench_results/<name>.csv so EXPERIMENTS.md numbers are regenerable and
+// plottable. The runner
 // subsystem additionally appends to per-shard fragments (resume) and reads
 // them back (merge), so the writer supports reopening an existing archive
 // and a small reader understands the writer's quoting.

@@ -142,19 +142,6 @@ TEST(BipsEngines, InfectionTimesIdenticalAcrossEnginesOnRandomRegular) {
     EXPECT_EQ(times[Engine::kReference], times[e]);
 }
 
-TEST(BipsEngines, BitForBitUnderEitherDrawHash) {
-  const graph::Graph g = graph::hypercube(6);
-  for (const DrawHash hash : {DrawHash::kMix64, DrawHash::kPhilox}) {
-    BipsOptions ref_opt = engine_options(Engine::kReference);
-    ref_opt.process.draw_hash = hash;
-    BipsOptions dense_opt = engine_options(Engine::kDense);
-    dense_opt.process.draw_hash = hash;
-    BipsProcess reference(g, 0, ref_opt);
-    BipsProcess dense(g, 0, dense_opt);
-    expect_lockstep_identical(reference, dense, 13, 20000);
-  }
-}
-
 TEST(BipsEngines, MultiSourceBitForBitAcrossEngines) {
   const graph::Graph g = graph::hypercube(7);
   const graph::VertexId sources[] = {0, 63, 100};
@@ -241,13 +228,6 @@ TEST(BipsEngines, ProbabilityKernelIsEngineIndependent) {
   }
   for (const Engine e : {Engine::kSparse, Engine::kDense, Engine::kAuto})
     EXPECT_EQ(after[Engine::kReference], after[e]);
-}
-
-TEST(BipsEngines, RejectsNonPositiveEdgeBudget) {
-  const graph::Graph g = graph::cycle(8);
-  BipsOptions opt;
-  opt.dense_edge_budget = 0.0;
-  EXPECT_THROW(BipsProcess(g, 0, opt), util::CheckError);
 }
 
 }  // namespace

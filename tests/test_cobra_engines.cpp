@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <map>
 #include <vector>
 
@@ -290,57 +289,13 @@ TEST(CobraEngines, ParseAndNameRoundTrip) {
   EXPECT_FALSE(parse_engine("Reference").has_value());
 }
 
-TEST(CobraEngines, BitForBitHoldsUnderEitherDrawHash) {
-  // The engine equivalence is hash-agnostic: sparse and dense stay in
-  // lockstep whether the keyed draws come from the cheap mix64 path or
-  // from the Philox fallback.
-  const graph::Graph g = graph::hypercube(6);
-  for (const DrawHash hash : {DrawHash::kMix64, DrawHash::kPhilox}) {
-    ProcessOptions sparse_opt;
-    sparse_opt.engine = Engine::kSparse;
-    sparse_opt.draw_hash = hash;
-    ProcessOptions dense_opt = sparse_opt;
-    dense_opt.engine = Engine::kDense;
-    CobraProcess sparse(g, sparse_opt);
-    CobraProcess dense(g, dense_opt);
-    expect_lockstep_identical(sparse, dense, 4242, 5000);
-  }
-}
-
-TEST(CobraEngines, DrawHashesAgreeInDistribution) {
-  // mix64 and philox drive the same process law; mean cover times must be
-  // statistically indistinguishable (generous 5-sigma-ish band).
-  const graph::Graph g = graph::cycle(96);
-  std::map<DrawHash, double> means;
-  constexpr std::uint64_t kReps = 200;
-  for (const DrawHash hash : {DrawHash::kMix64, DrawHash::kPhilox}) {
-    ProcessOptions opt;
-    opt.engine = Engine::kAuto;
-    opt.draw_hash = hash;
-    CobraProcess p(g, opt);
-    double total = 0.0;
-    for (std::uint64_t rep = 0; rep < kReps; ++rep) {
-      rng::Rng rng = rng::make_stream(909, rep);
-      p.reset(graph::VertexId{0});
-      const auto cover = p.run_until_cover(rng, 100000);
-      ASSERT_TRUE(cover.has_value());
-      total += static_cast<double>(*cover);
-    }
-    means[hash] = total / static_cast<double>(kReps);
-  }
-  const double m1 = means[DrawHash::kMix64];
-  const double m2 = means[DrawHash::kPhilox];
-  EXPECT_LT(std::fabs(m1 - m2), 0.15 * std::max(m1, m2))
-      << "mix64 " << m1 << " vs philox " << m2;
-}
-
 TEST(CobraEngines, Mix64WordsLookUniform) {
   // Smoke statistics over the keyed word stream: 16-bin chi-square-style
   // bounds on uniform01 across many (vertex, word) pairs of one round.
   std::array<int, 16> bins{};
   int total = 0;
   for (std::uint32_t u = 0; u < 4096; ++u) {
-    VertexDraws draws(DrawHash::kMix64, 0x1234ABCDu, u);
+    VertexDraws draws(0x1234ABCDu, u);
     for (int k = 0; k < 8; ++k) {
       const double x = draws.uniform01();
       ASSERT_GE(x, 0.0);
@@ -375,13 +330,13 @@ TEST(CobraEngines, GoldenDrawStreams) {
         0x4b4c7343b712e37eull}},
   };
   for (const Golden& g : golden) {
-    VertexDraws draws(DrawHash::kMix64, g.round_key, g.entity);
+    VertexDraws draws(g.round_key, g.entity);
     for (const std::uint64_t word : g.words)
       EXPECT_EQ(draws.next_word(), word)
           << "key " << g.round_key << " entity " << g.entity;
   }
 
-  VertexDraws draws(DrawHash::kMix64, 42, 3);
+  VertexDraws draws(42, 3);
   EXPECT_EQ(draws.uniform01(), 0.56791202136050156);
   EXPECT_EQ(draws.uniform01(), 0.28975091766661354);
   EXPECT_FALSE(draws.bernoulli(0.25));
@@ -412,21 +367,12 @@ TEST(CobraEngines, GoldenNeighborSamples) {
       };
   for (const auto& [laziness, expected] : golden) {
     const NeighborSampler sampler(g, laziness);
-    VertexDraws words(DrawHash::kMix64, 99, 1);
+    VertexDraws words(99, 1);
     for (std::size_t i = 0; i < sources.size(); ++i)
       for (const graph::VertexId dest : expected[i])
         EXPECT_EQ(sampler.sample(sources[i], words.next_word()), dest)
             << "laziness " << laziness << " source " << sources[i];
   }
-}
-
-TEST(CobraEngines, DrawHashParseAndNameRoundTrip) {
-  EXPECT_STREQ(draw_hash_name(DrawHash::kDefault), "default");
-  EXPECT_STREQ(draw_hash_name(DrawHash::kMix64), "mix64");
-  EXPECT_STREQ(draw_hash_name(DrawHash::kPhilox), "philox");
-  EXPECT_EQ(resolve_draw_hash(DrawHash::kDefault), DrawHash::kMix64);
-  EXPECT_EQ(resolve_draw_hash(DrawHash::kPhilox), DrawHash::kPhilox);
-  EXPECT_EQ(resolve_draw_hash(DrawHash::kMix64), DrawHash::kMix64);
 }
 
 TEST(CobraEngines, NeighborSamplerMatchesUniformDistribution) {

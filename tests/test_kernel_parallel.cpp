@@ -120,14 +120,11 @@ TEST(KernelParallel, CobraThreadInvariantWithLazinessAndBranching) {
   expect_cobra_thread_invariant(g, opt, 4711);
 }
 
-TEST(KernelParallel, CobraThreadInvariantUnderEitherDrawHash) {
+TEST(KernelParallel, CobraThreadInvariantAutoOnHypercube) {
   const graph::Graph g = graph::hypercube(6);
-  for (const DrawHash hash : {DrawHash::kMix64, DrawHash::kPhilox}) {
-    ProcessOptions opt;
-    opt.engine = Engine::kAuto;
-    opt.draw_hash = hash;
-    expect_cobra_thread_invariant(g, opt, 2222);
-  }
+  ProcessOptions opt;
+  opt.engine = Engine::kAuto;
+  expect_cobra_thread_invariant(g, opt, 2222);
 }
 
 TEST(KernelParallel, CobraThreadInvariantOnIngestedGraph) {
