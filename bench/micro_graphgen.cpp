@@ -115,8 +115,6 @@ struct BakedCgr {
     std::error_code ignored;
     std::filesystem::remove(path, ignored);
   }
-  BakedCgr(const BakedCgr&) = delete;
-  BakedCgr& operator=(const BakedCgr&) = delete;
 };
 
 // Bakes the spec once; every load/mmap bench reads it.

@@ -48,10 +48,11 @@ Two modes:
   check_step_bench.py [--suite S] BASELINE.json FRESH.json [--tolerance 0.30]
       Compares a fresh benchmark JSON against the baseline: any shared
       benchmark whose per-iteration real_time regressed by more than the
-      tolerance fails the check. Rows are matched on (family, label), the
-      family being the name up to its first '/', so a renamed
+      tolerance fails the check. Labelled rows are matched on (family,
+      label), the family being the name up to its first '/', so a renamed
       registration (a /real_time suffix, a changed argument list) still
-      meets its baseline row. Only meaningful on hardware comparable to
+      meets its baseline row; unlabelled rows are matched on their full
+      name. Only meaningful on hardware comparable to
       the baseline's; CI uses the single-file mode with a reduced
       --min-speedup instead, so heterogeneous runners compare engine
       ratios measured on the same box.
@@ -211,13 +212,16 @@ def check_baseline(benches, suite, min_speedup):
 
 
 def rows_by_key(benches, path):
-    """Keys rows on (family, label); the family is the name up to its first
-    '/', so argument lists and suffixes like /real_time do not matter.
-    Repeated rows of one name (repetitions) keep the last; two different
-    names on one key are ambiguous and stop the check."""
+    """Keys labelled rows on (family, label); the family is the name up to
+    its first '/', so argument lists and suffixes like /real_time do not
+    matter. Unlabelled rows key on their full name, as their arguments are
+    all that tells them apart. Repeated rows of one name (repetitions) keep
+    the last; two different names on one key are ambiguous and stop the
+    check."""
     by_key = {}
     for b in benches:
-        key = (b["name"].split("/", 1)[0], b.get("label", ""))
+        label = b.get("label", "")
+        key = (b["name"].split("/", 1)[0] if label else b["name"], label)
         if key in by_key and by_key[key]["name"] != b["name"]:
             sys.exit(f"{path}: {by_key[key]['name']} and {b['name']} share "
                      f"family and label {key[1]!r}; give them distinct labels")

@@ -11,7 +11,10 @@ namespace {
 
 /// Auto-engine rule of the sampling kernel: a round runs dense when
 /// min(|A_t|, n - |A_t|) · avg_degree <= kDenseEdgeBudget · n, i.e. when
-/// the boundary-marking pass is cheaper than the all-vertex scan.
+/// the boundary-marking pass is cheaper than the all-vertex scan, with the
+/// kernel's 2x hysteresis on the way out. Unlike COBRA's density rule this
+/// fires at BOTH extremes (tiny and near-full infected sets), where
+/// determined outcomes dominate.
 constexpr double kDenseEdgeBudget = 1.0;
 
 }  // namespace
@@ -136,8 +139,7 @@ void BipsProcess::step_sampling(std::uint64_t round_key) {
   const double score =
       min_side_edges <= 0.0
           ? 2.0  // fully infected: the dense round is a pure word pass
-          : kDenseEdgeBudget * static_cast<double>(n) /
-                min_side_edges;
+          : kDenseEdgeBudget * static_cast<double>(n) / min_side_edges;
   const bool dense = kernel_.begin_round(score);
   if (dense) {
     step_sampling_dense(round_key);

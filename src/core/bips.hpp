@@ -54,12 +54,7 @@ struct BipsOptions {
   /// picks the frontier representation; ProcessOptions::sampler may inject
   /// a shared destination sampler for the sampling kernel).
   ProcessOptions process;
-  /// Which execution kernel runs the rounds. The sampling kernel's auto
-  /// engine runs a round dense when min(|A_t|, n - |A_t|) · avg_degree <= n
-  /// (the boundary-marking pass is cheaper than the all-vertex scan), with
-  /// the kernel's 2x hysteresis on the way out. Unlike COBRA's density
-  /// rule this fires at BOTH extremes (tiny and near-full infected sets),
-  /// where determined outcomes dominate.
+  /// Which execution kernel runs the rounds.
   BipsKernel kernel = BipsKernel::kSampling;
 };
 

@@ -23,10 +23,11 @@
 //   * FrontierKernel — the dual sparse/dense frontier state machine: a
 //     vector frontier with epoch-stamped O(1) membership, a bitset
 //     frontier with word-parallel commit, the auto density switch (at
-//     kDenseDensity · n, with 2x hysteresis), and the visited accumulator with branch-free popcount
-//     merges. Processes express only their per-entity policy (what an
-//     active vertex does with its draws); the kernel owns representation,
-//     deduplication, mode transitions and first-visit counting.
+//     kDenseDensity · n, with 2x hysteresis), and the visited accumulator
+//     with branch-free popcount merges. Processes express only their
+//     per-entity policy (what an active vertex does with its draws); the
+//     kernel owns representation, deduplication, mode transitions and
+//     first-visit counting.
 //
 // Round protocol of a kernel process (see CobraProcess::step for the
 // canonical use):
