@@ -44,6 +44,18 @@ class AliasTable {
   /// Number of indices in the distribution's support.
   [[nodiscard]] std::size_t size() const { return prob_.size(); }
 
+  /// Acceptance threshold of `column` in [0, 1]: sample_word keeps the
+  /// column when the low half of the word, read as a fraction of 2^32, is
+  /// below it, and returns alias(column) otherwise.
+  [[nodiscard]] double acceptance(std::uint32_t column) const {
+    return prob_[column];
+  }
+
+  /// The index `column` falls back to when its acceptance test fails.
+  [[nodiscard]] std::uint32_t alias(std::uint32_t column) const {
+    return alias_[column];
+  }
+
   /// Exact sampling probability of index i (for tests).
   [[nodiscard]] double probability(std::uint32_t i) const;
 

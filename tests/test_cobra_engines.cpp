@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/random_generators.hpp"
+#include "rng/discrete.hpp"
 #include "rng/stream.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
@@ -372,6 +374,82 @@ TEST(CobraEngines, GoldenNeighborSamples) {
       for (const graph::VertexId dest : expected[i])
         EXPECT_EQ(sampler.sample(sources[i], words.next_word()), dest)
             << "laziness " << laziness << " source " << sources[i];
+  }
+}
+
+// The push distribution of a vertex of degree `degree` as one alias
+// table: `degree` neighbour slots plus a stay-put slot when lazy, or a
+// lone stay-put slot at degree 0.
+rng::AliasTable push_table(std::uint32_t degree, double laziness) {
+  if (degree == 0) return rng::AliasTable({1.0});
+  std::vector<double> weights(degree,
+                              (1.0 - laziness) / static_cast<double>(degree));
+  if (laziness > 0.0) weights.push_back(laziness);
+  return rng::AliasTable(weights);
+}
+
+// Words on every decision boundary of `table`, plus the all-zero/all-one
+// edge words: for each column, the first and last high halves that pick
+// it, each with the low half at the column's acceptance threshold
+// ceil(p * 2^32) and one either side of it.
+std::vector<std::uint64_t> boundary_words(const rng::AliasTable& table) {
+  std::vector<std::uint64_t> words = {0ull, ~0ull, 0xFFFFFFFFull,
+                                      0xFFFFFFFF00000000ull};
+  const std::uint64_t size = table.size();
+  for (std::uint64_t c = 0; c < size; ++c) {
+    const std::uint64_t first_hi = ((c << 32) + size - 1) / size;
+    const std::uint64_t last_hi = (((c + 1) << 32) + size - 1) / size - 1;
+    const auto threshold = static_cast<std::int64_t>(std::ceil(
+        table.acceptance(static_cast<std::uint32_t>(c)) * 0x1.0p32));
+    for (const std::uint64_t hi : {first_hi, last_hi})
+      for (const std::int64_t lo :
+           {threshold - 1, threshold, threshold + 1})
+        if (lo >= 0 && lo <= 0xFFFFFFFF)
+          words.push_back((hi << 32) | static_cast<std::uint64_t>(lo));
+  }
+  return words;
+}
+
+TEST(CobraEngines, NeighborSamplerMatchesAliasTableWordForWord) {
+  // Every degree 1..64 (complete graphs), two mixed-degree graphs and the
+  // single-vertex graph, at four laziness levels: each push destination
+  // is the one an alias table over the push distribution picks for the
+  // same word, on 10^5 keyed words and on every decision boundary.
+  std::vector<graph::Graph> graphs;
+  for (graph::VertexId d = 1; d <= 64; ++d)
+    graphs.push_back(graph::complete(d + 1));
+  graphs.push_back(graph::lollipop(5, 3));
+  graphs.push_back(graph::path(4));
+  graph::GraphBuilder single(1);
+  graphs.push_back(std::move(single).build());
+  for (const double laziness : {0.0, 0.1, 0.5, 0.9}) {
+    for (const graph::Graph& g : graphs) {
+      const NeighborSampler sampler(g, laziness);
+      std::map<std::uint32_t, rng::AliasTable> tables;
+      for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
+        tables.try_emplace(g.degree(u), push_table(g.degree(u), laziness));
+      int mismatches = 0;
+      const auto check = [&](graph::VertexId u, std::uint64_t word) {
+        const std::uint32_t degree = g.degree(u);
+        const std::uint32_t slot = tables.at(degree).sample_word(word);
+        const graph::VertexId expected =
+            slot < degree ? g.neighbor(u, slot) : u;
+        const graph::VertexId got = sampler.sample(u, word);
+        if (got != expected && ++mismatches == 1)
+          ADD_FAILURE() << "n " << g.num_vertices() << " laziness "
+                        << laziness << " u " << u << " word " << std::hex
+                        << word << ": got " << std::dec << got
+                        << ", alias table gives " << expected;
+      };
+      VertexDraws words(2024, g.num_vertices());
+      for (std::uint32_t i = 0; i < 100000; ++i)
+        check(i % g.num_vertices(), words.next_word());
+      for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
+        for (const std::uint64_t word : boundary_words(tables.at(g.degree(u))))
+          check(u, word);
+      EXPECT_EQ(mismatches, 0)
+          << "n " << g.num_vertices() << " laziness " << laziness;
+    }
   }
 }
 

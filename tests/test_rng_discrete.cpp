@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace cobra::rng {
@@ -93,6 +94,28 @@ TEST(AliasTable, SampleWordUniformCoversAllColumns) {
   constexpr int kDraws = 70000;
   for (int i = 0; i < kDraws; ++i) ++counts[t.sample_word(rng.next_u64())];
   for (const int c : counts) EXPECT_NEAR(c, kDraws / 7, 700);
+}
+
+TEST(AliasTable, GoldenSampleWord) {
+  // Checked-in columns of a skewed table (one column accepts with
+  // probability 1, the rest fall back to an alias) and the words that
+  // pick them: the edge words, then keyed words from one stream.
+  AliasTable t({1.0, 2.0, 3.0, 4.0, 0.5});
+  const std::uint32_t aliases[] = {3, 3, 0, 2, 3};
+  for (std::uint32_t c = 0; c < t.size(); ++c)
+    EXPECT_EQ(t.alias(c), aliases[c]) << "column " << c;
+  EXPECT_EQ(t.acceptance(2), 1.0);
+  EXPECT_EQ(t.acceptance(0), 0.47619047619047616);
+  const std::pair<std::uint64_t, std::uint32_t> golden[] = {
+      {0x0000000000000000ull, 0}, {0xffffffffffffffffull, 3},
+      {0x00000000ffffffffull, 3}, {0xffffffff00000000ull, 4},
+      {0xe075eb7a7abcf7e0ull, 3}, {0x6f055d1b1589dce2ull, 2},
+      {0xb95329dd5fa51682ull, 3}, {0x513f97e6e1277f11ull, 1},
+      {0x0b17d6310ef89c96ull, 0}, {0xb06ad5f0657bd17aull, 3},
+      {0x59a7bb38aca472e9ull, 1}, {0x3403aa4f5d951342ull, 1},
+  };
+  for (const auto& [word, column] : golden)
+    EXPECT_EQ(t.sample_word(word), column) << std::hex << word;
 }
 
 TEST(AliasTable, HighlySkewedWeights) {
