@@ -8,7 +8,9 @@
 //   BM_CobraStepAtDensity — one round from a controlled frontier density
 //                           (per mille of n), isolating the sparse<->dense
 //                           crossover on the largest random-regular graph;
-//   BM_CobraFullCover     — end-to-end cover runs (what experiments pay).
+//   BM_CobraFullCover     — end-to-end cover runs (what experiments pay);
+//   BM_NeighborSample     — the push-destination sampler alone, table-free
+//                           at laziness 0 and with alias slots at 0.5.
 //
 // The committed baseline bench_results/BENCH_step.json is produced by this
 // binary (see README.md "Performance" for the regeneration command) and
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "core/cobra.hpp"
+#include "core/frontier_kernel.hpp"
 #include "graph/generators.hpp"
 #include "graph/random_generators.hpp"
 #include "rng/stream.hpp"
@@ -210,6 +213,28 @@ BENCHMARK(BM_CobraFullCover)
     ->ArgsProduct({benchmark::CreateDenseRange(0, kNumGraphs - 1, 1),
                    {0, 3}})  // reference vs auto: the A/B experiments see
     ->Unit(benchmark::kMillisecond);
+
+void BM_NeighborSample(benchmark::State& state) {
+  // One push destination per vertex of regular_16384_r8, in vertex order
+  // with a fresh keyed word each — the access pattern of a dense round
+  // without the frontier around it. range(0) is the laziness in percent;
+  // items = samples.
+  const auto percent = static_cast<int>(state.range(0));
+  const graph::Graph& g = bench_graph(4);
+  state.SetLabel(std::string(graph_name(4)) + "/laziness_" +
+                 std::to_string(percent) + "pct");
+  const NeighborSampler sampler(g, percent / 100.0);
+  VertexDraws draws(7, 0);
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
+      sum += sampler.sample(u, draws.next_word());
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          g.num_vertices());
+}
+BENCHMARK(BM_NeighborSample)->Arg(0)->Arg(50)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

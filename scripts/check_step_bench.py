@@ -57,15 +57,18 @@ Two modes:
       --min-speedup instead, so heterogeneous runners compare engine
       ratios measured on the same box.
 
-Regenerate the baselines with:
-  ./build/bench/micro_cobra --benchmark_out=bench_results/BENCH_step.json \
+Regenerate the baselines with (a file recorded with repetitions is read
+through its median rows):
+  ./build/bench/micro_cobra --benchmark_repetitions=5 \
+      --benchmark_out=bench_results/BENCH_step.json \
       --benchmark_out_format=json
-  ./build/bench/micro_bips --benchmark_out=bench_results/BENCH_bips.json \
+  ./build/bench/micro_bips --benchmark_repetitions=5 \
+      --benchmark_out=bench_results/BENCH_bips.json \
       --benchmark_out_format=json
   ./build/bench/micro_graphgen --benchmark_filter='BM_GraphIo' \
       --benchmark_out=bench_results/BENCH_graph_io.json \
       --benchmark_out_format=json
-  ./build/bench/micro_metrics \
+  ./build/bench/micro_metrics --benchmark_repetitions=5 \
       --benchmark_out=bench_results/BENCH_metrics.json \
       --benchmark_out_format=json
 """
@@ -174,11 +177,13 @@ def load_doc(path):
     """Returns (iteration benchmarks, context dict) of a benchmark JSON."""
     with open(path) as f:
         doc = json.load(f)
-    benches = [
-        b
-        for b in doc.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration"
-    ]
+    rows = doc.get("benchmarks", [])
+    # A file recorded with --benchmark_repetitions is read through its
+    # median aggregates, renamed to their run name so they match the rows
+    # of an unrepeated file.
+    benches = [dict(b, name=b["run_name"]) for b in rows
+               if b.get("aggregate_name") == "median"] or [
+        b for b in rows if b.get("run_type", "iteration") == "iteration"]
     if not benches:
         sys.exit(f"{path}: no benchmark entries found")
     return benches, doc.get("context", {})

@@ -11,7 +11,7 @@ FrontierKernel::Config CobraProcess::kernel_config() const {
   cfg.engine = engine_;
   cfg.laziness = options_.laziness;
   // The legacy reference engine draws destinations sequentially from the
-  // replicate stream and never needs the alias tables.
+  // replicate stream and never needs the push sampler.
   cfg.build_sampler = engine_ != Engine::kReference;
   cfg.track_visited = true;
   cfg.sampler = engine_ != Engine::kReference ? options_.sampler : nullptr;

@@ -11,10 +11,10 @@ namespace {
 
 constexpr double kTimeoutSentinel = -1.0;
 
-// Resolves the stepping engine once per estimate and builds the
-// degree-bucketed alias tables a single time so every replicate (and
-// thread) shares them instead of rebuilding per process. COBRA's legacy
-// reference engine draws sequentially and needs no tables.
+// Resolves the stepping engine once per estimate and builds the push
+// sampler a single time so every replicate (and thread) shares its slots
+// instead of rebuilding them per process. COBRA's legacy reference engine
+// draws sequentially and needs no sampler.
 ProcessOptions share_sampler(const graph::Graph& g,
                              const ProcessOptions& options) {
   ProcessOptions resolved = options;

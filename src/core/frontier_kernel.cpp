@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <string>
 
+#include "rng/discrete.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
 
@@ -13,24 +15,22 @@ NeighborSampler::NeighborSampler(const graph::Graph& g, double laziness)
     : graph_(&g), laziness_(laziness) {
   COBRA_CHECK(g.num_vertices() >= 1);
   COBRA_CHECK(laziness >= 0.0 && laziness < 1.0);
+  if (laziness_ == 0.0) return;  // uniform slots need no table
 
-  bucket_of_degree_.assign(g.max_degree() + 1, 0u);
   std::vector<bool> seen(g.max_degree() + 1, false);
   for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
     seen[g.degree(u)] = true;
-
-  for (std::uint32_t d = 0; d <= g.max_degree(); ++d) {
+  slot_offset_.assign(g.max_degree() + 1, 0);
+  for (std::uint32_t d = 1; d <= g.max_degree(); ++d) {
     if (!seen[d]) continue;
-    bucket_of_degree_[d] = static_cast<std::uint32_t>(tables_.size());
-    std::vector<double> weights;
-    if (d == 0) {
-      // Single-vertex graph: the only "destination" is staying put.
-      weights.assign(1, 1.0);
-    } else {
-      weights.assign(d, (1.0 - laziness_) / static_cast<double>(d));
-      if (laziness_ > 0.0) weights.push_back(laziness_);
-    }
-    tables_.emplace_back(weights);
+    slot_offset_[d] = slots_.size();
+    std::vector<double> weights(d, (1.0 - laziness_) / static_cast<double>(d));
+    weights.push_back(laziness_);
+    const rng::AliasTable table(weights);
+    for (std::uint32_t c = 0; c <= d; ++c)
+      slots_.push_back({static_cast<std::uint64_t>(
+                            std::ceil(table.acceptance(c) * 0x1.0p32)),
+                        table.alias(c)});
   }
 }
 

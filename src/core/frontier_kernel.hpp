@@ -5,12 +5,14 @@
 //
 // Three building blocks, all engine-order-invariant by construction:
 //
-//   * NeighborSampler — degree-bucketed alias tables (rng/discrete) mapping
-//     one 64-bit word to a push destination in O(1): each neighbour of u
-//     with probability (1 - laziness)/deg(u), u itself with probability
-//     `laziness`. One table per distinct degree, built once per graph and
-//     shared by every vertex of that degree, across replicates and threads
-//     (sampling is const and lock-free).
+//   * NeighborSampler — maps one 64-bit word to a push destination in O(1)
+//     by slot arithmetic: each neighbour of u with probability
+//     (1 - laziness)/deg(u), u itself with probability `laziness`. At
+//     laziness 0 the slot is a fixed-point multiply and nothing is stored;
+//     with laziness > 0 one flat array holds integer-threshold alias slots
+//     (from rng/discrete's Vose tables) for each distinct degree, built
+//     once per graph and shared across replicates and threads (sampling is
+//     const and lock-free).
 //
 //   * VertexDraws — a counter-based randomness stream for one (round,
 //     entity) pair, where the entity is a vertex id (set processes) or a
@@ -69,7 +71,6 @@
 #include "core/metrics.hpp"
 #include "core/process.hpp"
 #include "graph/graph.hpp"
-#include "rng/discrete.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/bitset.hpp"
 #include "util/simd.hpp"
@@ -92,45 +93,74 @@ struct WordRange {
 /// `words` is 0.
 std::vector<WordRange> partition_word_ranges(std::size_t words, int lanes);
 
-/// O(1) push-destination sampler with degree-bucketed alias tables.
+/// O(1) push-destination sampler: one 64-bit word to one destination by
+/// slot arithmetic.
+///
+/// The high half of the word picks a slot by fixed-point multiply (the
+/// column pick of rng::AliasTable::sample_word). At laziness 0 the slot
+/// is the neighbour index itself and no table exists. With laziness > 0 a
+/// vertex of degree d has d + 1 slots (slot d = stay put), and each slot
+/// carries an integer acceptance threshold for the low half of the word
+/// plus an alias slot, taken from the Vose table of that push
+/// distribution; the slots of every distinct degree sit in one flat
+/// array. Destinations are bit-identical to an rng::AliasTable over the
+/// same weights, word for word.
 ///
 /// Immutable after construction; safe to share across threads and
 /// replicates via ProcessOptions::sampler. A vertex of degree 0 (only legal
 /// in the single-vertex graph) always "pushes" to itself.
 class NeighborSampler {
  public:
-  /// Builds one alias table per distinct degree of `g`. With laziness > 0
-  /// each table has deg + 1 slots (slot deg = stay put); with laziness 0 it
-  /// degenerates to a uniform slot choice. The sampler keeps a reference to
-  /// the graph, which must outlive it.
+  /// With laziness 0 builds nothing; with laziness > 0 builds the slots of
+  /// every distinct degree of `g`. The sampler keeps a reference to the
+  /// graph, which must outlive it.
   NeighborSampler(const graph::Graph& g, double laziness);
 
-  /// Maps a uniform 64-bit `word` to the destination of one push from `u`.
-  /// Exact up to the alias table's 2^-32 fixed-point quantisation — far
-  /// below Monte-Carlo noise, and identical across engines by design.
+  /// Maps a uniform 64-bit `word` to the destination of one push from `u`:
+  /// each neighbour with probability (1 - laziness)/deg(u), u itself with
+  /// probability `laziness`, exact up to 2^-32 fixed-point quantisation —
+  /// far below Monte-Carlo noise, and identical across engines by design.
   [[nodiscard]] graph::VertexId sample(graph::VertexId u,
                                        std::uint64_t word) const {
     const std::uint32_t degree = graph_->degree(u);
-    const rng::AliasTable& table = tables_[bucket_of_degree_[degree]];
-    const std::uint32_t slot = table.sample_word(word);
+    if (degree == 0) return u;
+    const std::uint64_t high = word >> 32;
+    if (slots_.empty())  // laziness 0: the slot is the neighbour index
+      return graph_->neighbor(
+          u, static_cast<std::uint32_t>((high * degree) >> 32));
+    const auto column =
+        static_cast<std::uint32_t>((high * (degree + 1ull)) >> 32);
+    const Slot& s = slots_[slot_offset_[degree] + column];
+    const std::uint32_t slot =
+        (word & 0xFFFFFFFFull) < s.threshold ? column : s.alias;
     return slot < degree ? graph_->neighbor(u, slot) : u;
   }
 
-  /// The laziness the tables were built for (validated against
+  /// The laziness the sampler was built for (validated against
   /// ProcessOptions::laziness when a shared sampler is injected).
   [[nodiscard]] double laziness() const { return laziness_; }
 
-  /// The graph the tables were built for.
+  /// The graph the sampler was built for.
   [[nodiscard]] const graph::Graph& graph() const { return *graph_; }
 
-  /// Number of distinct degree buckets (introspection/tests).
-  [[nodiscard]] std::size_t num_buckets() const { return tables_.size(); }
+  /// Number of lazy slots held, over all distinct degrees; 0 at laziness 0
+  /// (introspection/tests).
+  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
 
  private:
+  // One alias-table column: keep the column when the low half of the word
+  // is below `threshold` = ceil(acceptance · 2^32) — exactly the double
+  // test of AliasTable::sample_word, as scaling by 2^32 is exact — else
+  // take `alias`.
+  struct Slot {
+    std::uint64_t threshold;
+    std::uint32_t alias;
+  };
+
   const graph::Graph* graph_;
   double laziness_;
-  std::vector<std::uint32_t> bucket_of_degree_;  // degree -> index in tables_
-  std::vector<rng::AliasTable> tables_;
+  std::vector<std::size_t> slot_offset_;  // degree -> first slot in slots_
+  std::vector<Slot> slots_;               // empty at laziness 0
 };
 
 /// Counter-based per-entity randomness for one round of a kernel process.

@@ -113,8 +113,8 @@ struct ProcessOptions {
   int kernel_threads = 0;
 
   /// Optional pre-built destination sampler, shared across replicates so
-  /// the degree-bucketed alias tables are constructed once per graph
-  /// rather than once per CobraProcess. Must match the process's graph and
+  /// its lazy slots are built once per graph rather than once per
+  /// CobraProcess. Must match the process's graph and
   /// laziness; ignored by the reference engine. When null, fast engines
   /// build their own.
   std::shared_ptr<const NeighborSampler> sampler;

@@ -2,9 +2,10 @@
 //
 // Used by weighted-start experiments (sampling a start vertex proportional
 // to degree, i.e. the random-walk stationary distribution), by the
-// Barabasi-Albert generator, and — degree-bucketed, one table per distinct
-// degree — by the frontier kernel (core/frontier_kernel.hpp) for batched
-// push-destination draws across every spreading process.
+// Barabasi-Albert generator, and as the construction behind the frontier
+// kernel's lazy push slots (core/frontier_kernel.hpp), which copy each
+// column's acceptance threshold and alias into one flat integer array and
+// must pick what sample_word picks, word for word.
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,9 @@
 //     per-vertex randomness is a pure function of (round key, vertex);
 //   * the reference engine agrees with them in distribution (checked by
 //     the shared invariants, not draw by draw);
-//   * the degree-bucketed alias sampler reproduces the push-destination
-//     distribution, including laziness.
+//   * the push sampler reproduces the push-destination distribution,
+//     including laziness, and picks what an alias table over the same
+//     weights picks, word for word.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -454,9 +455,9 @@ TEST(CobraEngines, NeighborSamplerMatchesAliasTableWordForWord) {
 }
 
 TEST(CobraEngines, NeighborSamplerMatchesUniformDistribution) {
-  const graph::Graph g = graph::path(4);  // degrees 1 and 2: two buckets
+  const graph::Graph g = graph::path(4);
   const NeighborSampler sampler(g, 0.0);
-  EXPECT_EQ(sampler.num_buckets(), 2u);
+  EXPECT_EQ(sampler.num_slots(), 0u);  // uniform slots need no table
   rng::Rng rng = test_rng(8);
   std::map<graph::VertexId, int> counts;
   const int kDraws = 40000;
@@ -471,6 +472,7 @@ TEST(CobraEngines, NeighborSamplerHonoursLaziness) {
   const graph::Graph g = graph::cycle(6);
   const NeighborSampler sampler(g, 0.5);
   EXPECT_DOUBLE_EQ(sampler.laziness(), 0.5);
+  EXPECT_EQ(sampler.num_slots(), 3u);  // degree 2: two neighbours + stay
   rng::Rng rng = test_rng(9);
   const int kDraws = 60000;
   int self = 0, left = 0, right = 0;
